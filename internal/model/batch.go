@@ -70,16 +70,20 @@ func ForwardLayerBatch(cfg Config, sl *SubLayer, x *tensor.Matrix, seqLens []int
 
 	concat := tensor.New(x.Rows, mw)
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	for h := 0; h < sl.Width; h++ {
-		qh := q.ColSlice(h*hd, (h+1)*hd)
-		kh := k.ColSlice(h*hd, (h+1)*hd)
-		vh := v.ColSlice(h*hd, (h+1)*hd)
-		off := 0
-		for s, l := range seqLens {
-			qs := qh.RowSlice(off, off+l)
-			ks := kh.RowSlice(off, off+l)
-			vs := vh.RowSlice(off, off+l)
-			scores := tensor.New(l, l)
+	off := 0
+	for s, l := range seqLens {
+		// Row views of this sequence's block (no copy), and one scores
+		// and one head buffer shared by its heads: each head overwrites
+		// them completely before reading them.
+		qb := tensor.FromSlice(l, mw, q.Data[off*mw:(off+l)*mw])
+		kb := tensor.FromSlice(l, mw, k.Data[off*mw:(off+l)*mw])
+		vb := tensor.FromSlice(l, mw, v.Data[off*mw:(off+l)*mw])
+		scores := tensor.New(l, l)
+		head := tensor.New(l, hd)
+		for h := 0; h < sl.Width; h++ {
+			qs := qb.ColSlice(h*hd, (h+1)*hd)
+			ks := kb.ColSlice(h*hd, (h+1)*hd)
+			vs := vb.ColSlice(h*hd, (h+1)*hd)
 			tensor.MatMulBT(scores, qs, ks)
 			tensor.Scale(scores, scale)
 			if mask := masks[s]; mask != nil {
@@ -93,13 +97,12 @@ func ForwardLayerBatch(cfg Config, sl *SubLayer, x *tensor.Matrix, seqLens []int
 				}
 			}
 			tensor.SoftmaxRows(scores)
-			head := tensor.New(l, hd)
 			tensor.MatMul(head, scores, vs)
 			for r := 0; r < l; r++ {
 				copy(concat.Row(off + r)[h*hd:(h+1)*hd], head.Row(r))
 			}
-			off += l
 		}
+		off += l
 	}
 
 	attn := tensor.New(x.Rows, cfg.Hidden)

@@ -87,7 +87,10 @@ func ForwardLayer(cfg Config, sl *SubLayer, x *tensor.Matrix, mask []bool) *tens
 
 	concat := tensor.New(l, mw)
 	scale := float32(1 / math.Sqrt(float64(hd)))
+	// One scores and one head buffer serve every head: each head
+	// overwrites them completely before reading them.
 	scores := tensor.New(l, l)
+	head := tensor.New(l, hd)
 	for h := 0; h < sl.Width; h++ {
 		qh := q.ColSlice(h*hd, (h+1)*hd)
 		kh := k.ColSlice(h*hd, (h+1)*hd)
@@ -105,7 +108,6 @@ func ForwardLayer(cfg Config, sl *SubLayer, x *tensor.Matrix, mask []bool) *tens
 			}
 		}
 		tensor.SoftmaxRows(scores)
-		head := tensor.New(l, hd)
 		tensor.MatMul(head, scores, vh)
 		concat.SetColSlice(h*hd, head)
 	}

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 
+	"sti/internal/bitpack"
 	"sti/internal/quant"
 	"sti/internal/shard"
 )
@@ -36,6 +38,13 @@ func verifyPayload(data []byte) ([]byte, error) {
 	}
 	return body, nil
 }
+
+// ErrMalformedPayload is returned, wrapped, when a payload's checksum
+// holds but its header counts disagree with its body. The CRC only
+// proves the bytes are the ones the writer sent; a peer (PeerFetch) or
+// a buggy writer can still checksum a payload whose counts would make
+// the decoder allocate gigabytes or the dequantizer index past a slice.
+var ErrMalformedPayload = errors.New("store: malformed payload")
 
 // Payload is one decoded shard fidelity version: either a quantized
 // block or raw float32 weights.
@@ -128,6 +137,9 @@ func DecodePayload(data []byte) (*Payload, error) {
 	}
 	p := &Payload{Bits: int(bits), Count: int(count)}
 	if p.Bits == shard.FullBits {
+		if rest := r.remaining(); rest != 4*p.Count {
+			return nil, fmt.Errorf("%w: %d raw weights in %d bytes", ErrMalformedPayload, count, rest)
+		}
 		raw := make([]float32, count)
 		for i := range raw {
 			v, err := r.u32()
@@ -142,9 +154,16 @@ func DecodePayload(data []byte) (*Payload, error) {
 	if p.Bits < quant.MinBits || p.Bits > quant.MaxBits {
 		return nil, fmt.Errorf("store: payload bitwidth %d invalid", p.Bits)
 	}
+	// Every count is checked against what the body can hold before
+	// anything is sized by it. The dictionary is always full (Quantize
+	// pads unused slots), so any index the packed section can hold has
+	// a centroid.
 	nc, err := r.u32()
 	if err != nil {
 		return nil, err
+	}
+	if nc != 1<<p.Bits {
+		return nil, fmt.Errorf("%w: %d centroids for %d-bit indexes", ErrMalformedPayload, nc, p.Bits)
 	}
 	blk := &quant.Block{Bits: p.Bits, Count: p.Count, Centroids: make([]float32, nc)}
 	for i := range blk.Centroids {
@@ -158,11 +177,17 @@ func DecodePayload(data []byte) (*Payload, error) {
 	if err != nil {
 		return nil, err
 	}
+	if int(no) > p.Count || 8*int(no) > r.remaining() {
+		return nil, fmt.Errorf("%w: %d outliers among %d weights in %d bytes", ErrMalformedPayload, no, count, r.remaining())
+	}
 	blk.OutlierPos = make([]uint32, no)
 	blk.OutlierVal = make([]float32, no)
 	for i := range blk.OutlierPos {
 		if blk.OutlierPos[i], err = r.u32(); err != nil {
 			return nil, err
+		}
+		if blk.OutlierPos[i] >= count {
+			return nil, fmt.Errorf("%w: outlier position %d of %d weights", ErrMalformedPayload, blk.OutlierPos[i], count)
 		}
 	}
 	for i := range blk.OutlierVal {
@@ -176,8 +201,11 @@ func DecodePayload(data []byte) (*Payload, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int(np) > len(r.data)-r.off {
-		return nil, fmt.Errorf("store: truncated packed section (%d of %d bytes)", len(r.data)-r.off, np)
+	if int(np) > r.remaining() {
+		return nil, fmt.Errorf("%w: truncated packed section (%d of %d bytes)", ErrMalformedPayload, r.remaining(), np)
+	}
+	if need := bitpack.PackedLen(p.Count, p.Bits); int(np) < need {
+		return nil, fmt.Errorf("%w: packed section %d bytes, %d %d-bit indexes need %d", ErrMalformedPayload, np, count, p.Bits, need)
 	}
 	blk.Packed = append([]byte(nil), r.data[r.off:r.off+int(np)]...)
 	p.Block = blk
@@ -197,3 +225,5 @@ func (r *byteReader) u32() (uint32, error) {
 	r.off += 4
 	return v, nil
 }
+
+func (r *byteReader) remaining() int { return len(r.data) - r.off }

@@ -31,21 +31,35 @@ func MatMul(dst, a, b *Matrix) {
 
 // matMulRows computes rows [lo,hi) of dst = a×b using an ikj loop order
 // that streams b rows sequentially (cache-friendly without an explicit
-// transpose).
+// transpose). k is unrolled by 4: each out[j] is loaded once, gets four
+// products added in ascending k, one addition per statement, and is
+// stored once. The b rows are resliced to len(out) so the compiler drops
+// the bounds checks in the inner loop. The per-element operation order
+// is the package's accumulation contract (see the package doc).
 func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
 	for i := lo; i < hi; i++ {
 		out := dst.Row(i)
-		for x := range out {
-			out[x] = 0
-		}
+		clear(out)
 		ar := a.Row(i)
-		for k, av := range ar {
-			if av == 0 {
-				continue
+		k := 0
+		for ; k+4 <= len(ar); k += 4 {
+			a0, a1, a2, a3 := ar[k], ar[k+1], ar[k+2], ar[k+3]
+			b0 := b.Row(k)[:len(out)]
+			b1 := b.Row(k + 1)[:len(out)]
+			b2 := b.Row(k + 2)[:len(out)]
+			b3 := b.Row(k + 3)[:len(out)]
+			for j, o := range out {
+				o += a0 * b0[j]
+				o += a1 * b1[j]
+				o += a2 * b2[j]
+				o += a3 * b3[j]
+				out[j] = o
 			}
-			br := b.Row(k)
-			for j := 0; j < n; j++ {
+		}
+		for ; k < len(ar); k++ {
+			av := ar[k]
+			br := b.Row(k)[:len(out)]
+			for j := range out {
 				out[j] += av * br[j]
 			}
 		}
@@ -61,25 +75,44 @@ func MatMulBT(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulBT dst shape")
 	}
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
-			out := dst.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				br := b.Row(j)
-				var s float32
-				for k, av := range ar {
-					s += av * br[k]
-				}
-				out[j] = s
-			}
-		}
-	}
 	if a.Rows*b.Rows < parallelThreshold {
-		body(0, a.Rows)
+		matMulBTRows(dst, a, b, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, body)
+	parallelRows(a.Rows, func(lo, hi int) { matMulBTRows(dst, a, b, lo, hi) })
+}
+
+// matMulBTRows computes rows [lo,hi) of dst = a×bᵀ, four output columns
+// per pass so the four dot products share each load of a's row. Each
+// dot product starts at +0 and adds its products in ascending k.
+func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ar := a.Row(i)
+		out := dst.Row(i)
+		j := 0
+		for ; j+4 <= len(out); j += 4 {
+			b0 := b.Row(j)[:len(ar)]
+			b1 := b.Row(j + 1)[:len(ar)]
+			b2 := b.Row(j + 2)[:len(ar)]
+			b3 := b.Row(j + 3)[:len(ar)]
+			var s0, s1, s2, s3 float32
+			for k, av := range ar {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(out); j++ {
+			br := b.Row(j)[:len(ar)]
+			var s float32
+			for k, av := range ar {
+				s += av * br[k]
+			}
+			out[j] = s
+		}
+	}
 }
 
 // MatMulAT computes dst = aᵀ × b without materializing the transpose.

@@ -11,6 +11,20 @@
 // A Matrix is a dense row-major float32 buffer. Matrices are plain
 // values: methods that write results take an explicit destination so
 // buffers can be reused by the pipeline's working buffer.
+//
+// # Accumulation order
+//
+// MatMul and MatMulBT keep one contract per output element: start at
+// +0, add the products in ascending k, one operation per statement, no
+// reassociation. Where the compiler fuses a multiply-add (arm64 does;
+// the amd64 backend does not) it fuses every step alike. An element's
+// bits therefore depend only on its row of a and its column of b, not
+// on how many rows are stacked, how rows are split across goroutines,
+// or how the loops are unrolled. That is what makes the unrolled
+// kernels bit-identical to the naive reference kernels in the tests,
+// and batched forwards byte-identical to single ones. Zeros in a are
+// multiplied like any other value, so 0·Inf and 0·NaN yield NaN, as
+// IEEE 754 says.
 package tensor
 
 import (

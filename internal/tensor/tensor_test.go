@@ -328,14 +328,3 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	x := NewRand(128, 768, 0.02, rng)
-	w := NewRand(768, 768, 0.02, rng)
-	dst := New(128, 768)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, x, w)
-	}
-}
