@@ -71,13 +71,12 @@
 // forwards each request to a node holding its model with a per-hop
 // deadline derived from the request SLO; shed or unreachable classify
 // retries once on a different holder. Nodes additionally serve
-// /cluster/*: a donor endpoint that lets a peer's shared cache fetch a
-// retained shard payload instead of reading flash (the cache's second
-// level), and the arrival-observation intake that keeps each model's
-// owning predictor trained on its full arrival stream. On
-// SIGINT/SIGTERM a node reports draining via /healthz for -draingrace
-// before closing its listener, so the router rebalances its models away
-// without shedding a single in-flight request.
+// /cluster/shard, a donor endpoint that lets a peer's shared cache
+// fetch a retained shard payload instead of reading flash (the cache's
+// second level). On SIGINT/SIGTERM a node reports draining via
+// /healthz for -draingrace before closing its listener, so the router
+// rebalances its models away without shedding a single in-flight
+// request.
 package main
 
 import (
@@ -122,22 +121,6 @@ func concurrencyFor(workers int, workersSet bool, replicas int) (int, error) {
 		return 0, fmt.Errorf("-workers %d < -replicas %d: every replica needs at least one scheduler worker to receive traffic", workers, replicas)
 	}
 	return workers, nil
-}
-
-// predictConfigFor validates the predictive-subsystem flags and builds
-// the fleet's prediction options. The prefetcher stages shard payloads
-// in the per-model shared cache, so -prefetch with a zero-byte cache
-// could never keep anything it fetched: reject the combination loudly
-// instead of running a predictor whose every prefetch is wasted.
-func predictConfigFor(prefetch, speculate bool, sharedCacheBytes int64) (sti.PredictOptions, bool, error) {
-	if prefetch && sharedCacheBytes <= 0 {
-		return sti.PredictOptions{}, false, fmt.Errorf(
-			"-prefetch requires a non-zero -sharedcache: prefetched shard payloads are staged in the per-model shared cache, and a zero-byte cache discards every one")
-	}
-	if !prefetch && !speculate {
-		return sti.PredictOptions{}, false, nil
-	}
-	return sti.PredictOptions{Prefetch: prefetch, Speculate: speculate}, true, nil
 }
 
 // modelSpec is one parsed -model flag: name=dir[,target=D][,weight=W].
@@ -204,9 +187,7 @@ func main() {
 	maxBatch := flag.Int("maxbatch", 8, "max queued requests drained into one batched execution (1 disables batching)")
 	batchWindow := flag.Duration("batchwindow", 2*time.Millisecond, "how long a worker waits for a batch to fill")
 	maxStreams := flag.Int("maxstreams", 64, "max concurrently decoding generate streams, scheduler-wide and per replica step loop (continuous batching admits up to this many sequences per batched decode step)")
-	prefetch := flag.Bool("prefetch", false, "enable predictive shard prefetch: a sequence predictor trained on each model's shard-access order pulls predicted payloads into the shared cache ahead of the compute front (requires -sharedcache > 0)")
-	speculate := flag.Bool("speculate", false, "enable speculative tier warming and pre-emptive replica scale advice driven by each model's arrival-rate trend")
-	sharedCache := flag.Int64("sharedcache", 1<<20, "per-model shared shard-cache retention in bytes (single-flight dedup window + prefetch staging area; 0 keeps pure coalescing only)")
+	sharedCache := flag.Int64("sharedcache", 1<<20, "per-model shared shard-cache retention in bytes (single-flight dedup window; 0 keeps pure coalescing only)")
 	mode := flag.String("mode", "standalone", "serving mode: standalone (default), node (cluster member; needs -node and -peers), or router (cluster frontend; needs -peers, takes no -model)")
 	peersSpec := flag.String("peers", "", "static cluster membership: comma-separated name=url pairs, identical on every router and node")
 	nodeName := flag.String("node", "", "this process's name in -peers (node mode)")
@@ -253,10 +234,6 @@ func main() {
 		log.Fatalf("sti-serve: %v", err)
 	}
 	*workers = w
-	popts, predictOn, err := predictConfigFor(*prefetch, *speculate, *sharedCache)
-	if err != nil {
-		log.Fatalf("sti-serve: %v", err)
-	}
 
 	var dev *sti.Device
 	switch *deviceName {
@@ -303,17 +280,6 @@ func main() {
 				tier.Target, tier.Plan.Depth, tier.Plan.Width,
 				tier.Plan.Fidelity(cfg.Layers, cfg.Heads))
 		}
-	}
-
-	if predictOn {
-		if err := fleet.EnablePrediction(popts); err != nil {
-			log.Fatalf("sti-serve: %v", err)
-		}
-		r := popts.WithDefaults()
-		log.Printf("prediction enabled: prefetch=%v speculate=%v interval=%v lookahead=%d minconf=%d warmtrend=%.2f rps cooldown=%v horizon=%v sharedcache=%d KB/model",
-			r.Prefetch, r.Speculate, r.Interval, r.Lookahead, r.MinConfidence, r.WarmTrend, r.WarmCooldown, r.Horizon, *sharedCache>>10)
-	} else {
-		log.Printf("prediction disabled (enable with -prefetch and/or -speculate)")
 	}
 
 	fleet.SetObservability(hub)

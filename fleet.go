@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sti/internal/pipeline"
 	"sti/internal/planner"
-	"sti/internal/predict"
 	"sti/internal/replica"
 	"sti/internal/store"
 )
@@ -43,14 +41,6 @@ type Fleet struct {
 	mu      sync.RWMutex
 	budget  int64
 	entries map[string]*FleetEntry
-
-	// predictor, when non-nil, is the fleet's predictive subsystem
-	// (internal/predict): arrival and shard-access observations train
-	// it and its actuators prefetch, speculatively warm, and advise
-	// scale-ups. An atomic pointer so the serving-path taps
-	// (ObserveArrival, the per-engine access observers) load it
-	// lock-free. See EnablePrediction.
-	predictor atomic.Pointer[predict.Predictor]
 }
 
 // PlanTier is one rung of a model's plan ladder: an executable plan at
@@ -129,19 +119,12 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 	sys.Engine.SetPayloadSource(shared)
 	pool, err := replica.New(func(id int) (*pipeline.Engine, error) {
 		if id == 0 {
-			if f.predictor.Load() != nil {
-				sys.Engine.SetAccessObserver(f.accessObserver(name))
-			}
 			return sys.Engine, nil
 		}
 		// Later replicas share the loaded resident weights (read-only
 		// during execution) and the single-flight cache; each owns its
 		// own preload buffer, granted by the next replan.
-		eng := pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0)
-		if f.predictor.Load() != nil {
-			eng.SetAccessObserver(f.accessObserver(name))
-		}
-		return eng, nil
+		return pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0), nil
 	}, replica.Options{Min: 1, Max: 1})
 	if err != nil {
 		return fmt.Errorf("sti: building replica pool for %q: %w", name, err)
@@ -502,12 +485,12 @@ func (f *Fleet) Budget() int64 {
 
 // Replan splits the budget across models proportionally to their
 // weights, plans each model's pipeline, resizes each engine's buffer,
-// and warms it. In-flight Infer calls finish first; inference admitted
+// and warms it. In-flight Serve calls finish first; inference admitted
 // afterwards sees the new plans.
 func (f *Fleet) Replan() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	//sti:lockok quiesce-and-swap: Replan's contract is that in-flight Infer calls finish first and new admissions see the new plans; the write lock held across the warm IS that barrier
+	//sti:lockok quiesce-and-swap: Replan's contract is that in-flight Serve calls finish first and new admissions see the new plans; the write lock held across the warm IS that barrier
 	return f.replanLocked()
 }
 
@@ -882,44 +865,6 @@ func (f *Fleet) ServeBatch(ctx context.Context, name string, reqs []Request) ([]
 		resps[i] = &Response{Logits: logits[i], Stats: &bs.ExecStats, Tier: info}
 	}
 	return resps, bs, nil
-}
-
-// Infer runs one pipelined classification on the named model using its
-// current plan.
-//
-// Deprecated: Infer is the positional classify-only API; use Serve
-// with a task-typed Request.
-//
-//sti:ctxok deprecated compatibility shim; Serve(ctx, ...) is the context-threading API
-func (f *Fleet) Infer(name string, tokens []int, mask []bool) ([]float32, *ExecStats, error) {
-	resp, err := f.Serve(context.Background(), name, Request{Task: TaskClassify, Tokens: tokens, Mask: mask})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Logits, resp.Stats, nil
-}
-
-// InferBatch runs one batched pipelined classification on the named
-// model.
-//
-// Deprecated: InferBatch is the positional classify-only API; use
-// ServeBatch with task-typed Requests.
-//
-//sti:ctxok deprecated compatibility shim; ServeBatch(ctx, ...) is the context-threading API
-func (f *Fleet) InferBatch(name string, inputs []BatchInput) ([][]float32, *BatchStats, error) {
-	reqs := make([]Request, len(inputs))
-	for i, in := range inputs {
-		reqs[i] = Request{Task: TaskClassify, Tokens: in.Tokens, Mask: in.Mask}
-	}
-	resps, bs, err := f.ServeBatch(context.Background(), name, reqs)
-	if err != nil {
-		return nil, nil, err
-	}
-	logits := make([][]float32, len(resps))
-	for i, r := range resps {
-		logits[i] = r.Logits
-	}
-	return logits, bs, nil
 }
 
 // PreloadBytes reports the total preload memory currently held across

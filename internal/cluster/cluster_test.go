@@ -27,7 +27,6 @@ type fakeNode struct {
 	draining   bool
 	shed       bool                        // answer 503 to classify/generate
 	statsFn    func(w http.ResponseWriter) // overrides the /v1/stats answer
-	observed   []observation
 	served     atomic.Int64
 	generating atomic.Int64
 	ctxDone    chan struct{} // closed when a generate handler's ctx is canceled
@@ -55,17 +54,6 @@ func newFakeNode(name string) *fakeNode {
 			return
 		}
 		json.NewEncoder(w).Encode(map[string]any{"completed": f.served.Load()})
-	})
-	mux.HandleFunc("POST /cluster/observe", func(w http.ResponseWriter, r *http.Request) {
-		var obs observation
-		if err := json.NewDecoder(r.Body).Decode(&obs); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		f.mu.Lock()
-		f.observed = append(f.observed, obs)
-		f.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
 	})
 	f.srv = httptest.NewServer(mux)
 	return f
@@ -385,7 +373,6 @@ type fakeBackend struct {
 	mu       sync.Mutex
 	payloads map[[3]int][]byte
 	fetch    map[string]store.PeerFetch
-	arrivals []observation
 }
 
 func newFakeBackend(names ...string) *fakeBackend {
@@ -412,21 +399,18 @@ func (b *fakeBackend) SetPeerFetch(model string, fn store.PeerFetch) error {
 	return nil
 }
 
-func (b *fakeBackend) ObserveArrival(model string, class time.Duration, depth, capacity int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.arrivals = append(b.arrivals, observation{
-		Model: model, TargetMS: float64(class.Milliseconds()), Depth: depth, Capacity: capacity,
-	})
-}
-
 // TestNodePeerFetchAndEndpoints: node B's installed peer fetcher pulls
 // a payload node A has retained, via A's /cluster/shard endpoint; a
-// payload nobody retains is a miss; /cluster/observe reaches the
-// backend's predictor intake.
+// payload nobody retains is a miss, and so is one whose CRC trailer
+// does not match (the read then falls through to local flash instead
+// of retaining bytes every later decode would reject).
 func TestNodePeerFetchAndEndpoints(t *testing.T) {
 	backendA := newFakeBackend("m")
-	backendA.payloads[[3]int{3, 1, 4}] = []byte{0xde, 0xad}
+	retained := store.EncodeRawPayload([]float32{1, 2})
+	corrupt := append([]byte(nil), retained...)
+	corrupt[5] ^= 0x10
+	backendA.payloads[[3]int{3, 1, 4}] = retained
+	backendA.payloads[[3]int{4, 1, 4}] = corrupt
 	nodeA, err := NewNode(backendA, "a", []Peer{{Name: "a", URL: "http://stub"}}, NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -446,11 +430,14 @@ func TestNodePeerFetchAndEndpoints(t *testing.T) {
 	if fetch == nil {
 		t.Fatal("NewNode did not install the peer fetcher")
 	}
-	if p, ok := fetch(3, 1, 4); !ok || string(p) != "\xde\xad" {
+	if p, ok := fetch(3, 1, 4); !ok || string(p) != string(retained) {
 		t.Fatalf("peer fetch = %v, %v; want node A's retained payload", p, ok)
 	}
 	if _, ok := fetch(9, 9, 9); ok {
 		t.Fatal("peer fetch fabricated a payload nobody retains")
+	}
+	if p, ok := fetch(4, 1, 4); ok {
+		t.Fatalf("peer fetch accepted a bit-flipped payload (%d bytes)", len(p))
 	}
 
 	// Donor endpoint rejects junk coordinates.
@@ -463,74 +450,11 @@ func TestNodePeerFetchAndEndpoints(t *testing.T) {
 		t.Fatalf("bad coords => %d, want 400", resp.StatusCode)
 	}
 
-	// Observe intake.
-	resp, err = http.Post(srvA.URL+"/cluster/observe", "application/json",
-		strings.NewReader(`{"model":"m","target_ms":150,"depth":3,"capacity":64}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("observe => %d, want 204", resp.StatusCode)
-	}
-	backendA.mu.Lock()
-	arrivals := len(backendA.arrivals)
-	var got observation
-	if arrivals > 0 {
-		got = backendA.arrivals[0]
-	}
-	backendA.mu.Unlock()
-	if arrivals != 1 || got.Model != "m" || got.TargetMS != 150 || got.Depth != 3 {
-		t.Fatalf("arrivals %d %+v", arrivals, got)
-	}
-
 	// Close detaches the peer level.
 	nodeB.Close()
 	if backendB.fetch["m"] != nil {
 		t.Fatal("Close left the peer fetcher installed")
 	}
-}
-
-// TestRouterForwardsArrivalToOwner: when a model is served away from
-// its ring home (here: the home sheds and the replica answers), the
-// router replays the arrival to the owner's /cluster/observe so its
-// predictor keeps seeing the model's full arrival stream.
-func TestRouterForwardsArrivalToOwner(t *testing.T) {
-	rt, nodes := testCluster(t, 2, RouterOptions{})
-	front := httptest.NewServer(rt)
-	defer front.Close()
-
-	home := nodes[0]
-	model := modelHomedOn(t, rt, home.name)
-	home.setShed(true)
-
-	resp, err := postInfer(t, front.URL, fmt.Sprintf(`{"model":%q,"target_ms":150,"tokens":[1]}`, model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retried classify => %d", resp.StatusCode)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		home.mu.Lock()
-		n := len(home.observed)
-		var got observation
-		if n > 0 {
-			got = home.observed[0]
-		}
-		home.mu.Unlock()
-		if n > 0 {
-			if got.Model != model || got.TargetMS != 150 {
-				t.Fatalf("owner observed %+v, want model=%s target=150", got, model)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("owner never received the forwarded arrival observation")
 }
 
 // setStats overrides the node's /v1/stats answer.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -61,13 +60,11 @@ func newTransport() *http.Transport {
 }
 
 // NodeBackend is what a Node needs from the process's fleet: the donor
-// and consumer sides of the peer cache level, plus the predictor's
-// arrival intake. *sti.Fleet implements it.
+// and consumer sides of the peer cache level. *sti.Fleet implements it.
 type NodeBackend interface {
 	Names() []string
 	PeekShardPayload(model string, layer, slice, bits int) ([]byte, bool)
 	SetPeerFetch(model string, fn store.PeerFetch) error
-	ObserveArrival(model string, class time.Duration, depth, capacity int)
 }
 
 // NodeOptions tune one cluster member.
@@ -84,10 +81,9 @@ type NodeOptions struct {
 
 // Node is the cluster-facing side of one sti-serve process: it wires
 // the fleet's shared caches to the peers holding each model (the
-// consumer side of the two-level cache) and serves /cluster/* — the
-// donor shard endpoint and the arrival-observation intake. The
-// process's ordinary serving surface (/v2/infer etc.) is untouched;
-// main mounts both on one listener.
+// consumer side of the two-level cache) and serves the donor side,
+// /cluster/shard. The process's ordinary serving surface (/v2/infer
+// etc.) is untouched; main mounts both on one listener.
 type Node struct {
 	backend NodeBackend
 	self    string
@@ -132,7 +128,6 @@ func NewNode(backend NodeBackend, self string, peers []Peer, opts NodeOptions) (
 		mux:     http.NewServeMux(),
 	}
 	n.mux.HandleFunc("GET /cluster/shard", n.handleShard)
-	n.mux.HandleFunc("POST /cluster/observe", n.handleObserve)
 	for _, model := range backend.Names() {
 		if err := backend.SetPeerFetch(model, n.peerFetch(model)); err != nil {
 			return nil, err
@@ -141,7 +136,7 @@ func NewNode(backend NodeBackend, self string, peers []Peer, opts NodeOptions) (
 	return n, nil
 }
 
-// Handler serves the /cluster/* endpoints.
+// Handler serves the /cluster/shard endpoint.
 func (n *Node) Handler() http.Handler { return n.mux }
 
 // Close detaches the peer level from every model's shared cache;
@@ -153,10 +148,10 @@ func (n *Node) Close() {
 }
 
 // peerFetch builds the consumer-side hook one model's shared cache
-// calls on a demand miss: ask the other holders of the model (ring
-// order) for their retained copy. It runs inside the cache's single
-// flight and outside all locks; a miss or timeout returns ok=false
-// and the cache falls through to flash.
+// calls on a miss: ask the other holders of the model (ring order) for
+// their retained copy. It runs inside the cache's single flight and
+// outside all locks; a miss, a timeout or a corrupt body returns
+// ok=false and the cache falls through to flash.
 func (n *Node) peerFetch(model string) store.PeerFetch {
 	return func(layer, slice, bits int) ([]byte, bool) {
 		for _, holder := range n.ring.Place(model) {
@@ -171,6 +166,10 @@ func (n *Node) peerFetch(model string) store.PeerFetch {
 	}
 }
 
+// fetchOne asks one peer for a retained payload. The body must carry
+// a valid CRC trailer: the cache retains whatever a peer level hands
+// it and keeps it while in use, so one corrupt body admitted here
+// would fail every later decode of that shard instead of one read.
 func (n *Node) fetchOne(base, model string, layer, slice, bits int) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), n.timeout)
 	defer cancel()
@@ -190,7 +189,10 @@ func (n *Node) fetchOne(base, model string, layer, slice, bits int) ([]byte, boo
 		return nil, false
 	}
 	p, err := io.ReadAll(resp.Body)
-	if err != nil || len(p) == 0 {
+	if err != nil {
+		return nil, false
+	}
+	if _, err := store.VerifyPayload(p); err != nil {
 		return nil, false
 	}
 	return p, true
@@ -217,26 +219,4 @@ func (n *Node) handleShard(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(p)))
 	w.Write(p) //nolint:errcheck — a vanished peer just re-reads flash
-}
-
-// observation is the wire shape of one forwarded arrival.
-type observation struct {
-	Model    string  `json:"model"`
-	TargetMS float64 `json:"target_ms"`
-	Depth    int     `json:"depth"`
-	Capacity int     `json:"capacity"`
-}
-
-// handleObserve feeds a router-forwarded arrival into the predictor —
-// how a model's owning node keeps training on the full arrival stream
-// even while retries or rebalancing serve some of its traffic
-// elsewhere.
-func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var obs observation
-	if err := json.NewDecoder(r.Body).Decode(&obs); err != nil || obs.Model == "" {
-		http.Error(w, "bad observation", http.StatusBadRequest)
-		return
-	}
-	n.backend.ObserveArrival(obs.Model, time.Duration(obs.TargetMS*float64(time.Millisecond)), obs.Depth, obs.Capacity)
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -36,15 +36,12 @@ type RouterOptions struct {
 	// traffic on the next tick and its models rebalance to the
 	// remaining holders.
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe, node stats fetch, or
-	// observation post (default 1s, floored at HealthInterval): a short
+	// ProbeTimeout bounds one health probe or node stats fetch
+	// (default 1s, floored at HealthInterval): a short
 	// poll interval quickens draining detection without shrinking the
 	// probe's own budget — a probe slower than its timeout reads as a
 	// down node.
 	ProbeTimeout time.Duration
-	// ObserveCapacity is the queue-capacity hint attached to forwarded
-	// arrival observations (default 64, the serving default).
-	ObserveCapacity int
 	// Client overrides the forwarding HTTP client (tests).
 	Client *http.Client
 	// Obs is the router process's observability hub. When set, the
@@ -73,9 +70,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.ProbeTimeout < o.HealthInterval {
 		o.ProbeTimeout = o.HealthInterval
-	}
-	if o.ObserveCapacity <= 0 {
-		o.ObserveCapacity = 64
 	}
 	return o
 }
@@ -136,15 +130,8 @@ type Router struct {
 	modelsMu sync.Mutex
 	models   map[string]bool // models observed in traffic, for stats placement
 
-	observations chan ownerObservation
-	stop         chan struct{}
-	wg           sync.WaitGroup
-}
-
-// ownerObservation is one arrival to replay to a model's owning node.
-type ownerObservation struct {
-	base string
-	obs  observation
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // NewRouter builds the frontend over a static peer list and starts its
@@ -170,15 +157,14 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 	}
 	sort.Strings(names)
 	rt := &Router{
-		opts:         opts,
-		ring:         ring,
-		client:       client,
-		mux:          http.NewServeMux(),
-		nodes:        nodes,
-		order:        names,
-		models:       make(map[string]bool),
-		observations: make(chan ownerObservation, 256),
-		stop:         make(chan struct{}),
+		opts:   opts,
+		ring:   ring,
+		client: client,
+		mux:    http.NewServeMux(),
+		nodes:  nodes,
+		order:  names,
+		models: make(map[string]bool),
+		stop:   make(chan struct{}),
 	}
 	rt.mux.HandleFunc("POST /v2/infer", func(w http.ResponseWriter, r *http.Request) {
 		rt.handleInfer(w, r, "/v2/infer")
@@ -192,15 +178,14 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /v1/debug/trace", rt.handleDebugTrace)
 	rt.registerMetrics()
-	rt.wg.Add(2)
+	rt.wg.Add(1)
 	go rt.healthLoop()
-	go rt.observeLoop()
 	return rt, nil
 }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// Close stops the health poll and the observation forwarder.
+// Close stops the health poll.
 func (rt *Router) Close() {
 	close(rt.stop)
 	rt.wg.Wait()
@@ -270,7 +255,6 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, path strin
 	served, retryable := rt.forward(ctx, w, rt.nodes[primary], path, body)
 	if served {
 		rt.hub.FinishRequest(tr, meta.Model, primary, "")
-		rt.observeForOwner(meta, primary)
 		return
 	}
 	if retryable && idempotent && len(rest) > 0 {
@@ -278,7 +262,6 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, path strin
 		retryNode.retries.Add(1)
 		if served, _ := rt.forward(ctx, w, retryNode, path, body); served {
 			rt.hub.FinishRequest(tr, meta.Model, rest[0], "")
-			rt.observeForOwner(meta, rest[0])
 			return
 		}
 	}
@@ -381,62 +364,6 @@ func (rt *Router) noteModel(model string) {
 	rt.modelsMu.Lock()
 	rt.models[model] = true
 	rt.modelsMu.Unlock()
-}
-
-// observeForOwner replays an arrival to the model's owning node when
-// some other holder served it (retry, rebalance override): the owner's
-// predictor keeps seeing the model's full arrival stream. Bounded and
-// drop-on-full — observation is advisory, never worth back-pressure on
-// the serving path.
-func (rt *Router) observeForOwner(meta reqMeta, servedBy string) {
-	holders := rt.ring.Place(meta.Model)
-	if len(holders) == 0 || holders[0] == servedBy {
-		return
-	}
-	owner := rt.nodes[holders[0]]
-	if owner == nil {
-		return
-	}
-	target := meta.TargetMS
-	if target <= 0 {
-		target = float64(rt.opts.DefaultTarget.Milliseconds())
-	}
-	o := ownerObservation{base: owner.base, obs: observation{
-		Model:    meta.Model,
-		TargetMS: target,
-		Depth:    int(rt.nodes[servedBy].inflight.Load()),
-		Capacity: rt.opts.ObserveCapacity,
-	}}
-	select {
-	case rt.observations <- o:
-	default: // full: drop, observation is best-effort
-	}
-}
-
-// observeLoop drains forwarded arrivals off the serving path.
-func (rt *Router) observeLoop() {
-	defer rt.wg.Done()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case o := <-rt.observations:
-			body, err := json.Marshal(o.obs)
-			if err != nil {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, o.base+"/cluster/observe", bytes.NewReader(body))
-			if err == nil {
-				req.Header.Set("Content-Type", "application/json")
-				if resp, err := rt.client.Do(req); err == nil {
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck — drain for connection reuse
-					resp.Body.Close()
-				}
-			}
-			cancel()
-		}
-	}
 }
 
 // healthz is the node health wire shape the router polls.

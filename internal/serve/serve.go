@@ -42,7 +42,6 @@ import (
 	"sti/internal/obs"
 	"sti/internal/pipeline"
 	"sti/internal/planner"
-	"sti/internal/predict"
 	"sti/internal/replica"
 	"sti/internal/store"
 )
@@ -107,22 +106,6 @@ type ReplicaReporter interface {
 // snapshot per model, surfaced through Snapshot into ModelStats.
 type StepLoopReporter interface {
 	GenerateStats(model string) (pipeline.StepLoopStats, bool)
-}
-
-// ArrivalObserver is the optional backend surface for the predictive
-// subsystem's arrival stream: a backend that implements it (the fleet
-// does when prediction is enabled) receives one observation per
-// successful admission — the request's canonicalized SLO class plus
-// the queue depth/capacity at that moment. ObserveArrival must be
-// cheap and non-blocking: it is called on the serving path.
-type ArrivalObserver interface {
-	ObserveArrival(model string, class time.Duration, depth, capacity int)
-}
-
-// PredictReporter is the optional backend surface for predictor
-// stats, surfaced through Snapshot into ModelStats.
-type PredictReporter interface {
-	PredictStats(model string) (predict.ModelStats, bool)
 }
 
 // Options tunes the scheduler.
@@ -246,18 +229,14 @@ type modelQueue struct {
 
 // Scheduler multiplexes task-typed requests across a Backend with
 // per-model bounded queues, deadlines and worker pools. Create with
-// New, submit with Submit (or the deprecated classify-only Do),
-// observe with Snapshot, stop with Close.
+// New, submit with Submit, observe with Snapshot, stop with Close.
 type Scheduler struct {
 	backend Backend
-	// elastic, reporter, stepLoops, arrivals and predicts are the
-	// backend's optional replica/step-loop/predictor surfaces, resolved
-	// once at construction.
+	// elastic, reporter and stepLoops are the backend's optional
+	// replica/step-loop surfaces, resolved once at construction.
 	elastic   Elastic
 	reporter  ReplicaReporter
 	stepLoops StepLoopReporter
-	arrivals  ArrivalObserver
-	predicts  PredictReporter
 	opts      Options
 	start     time.Time
 
@@ -307,8 +286,6 @@ func New(backend Backend, opts Options) *Scheduler {
 	s.elastic, _ = backend.(Elastic)
 	s.reporter, _ = backend.(ReplicaReporter)
 	s.stepLoops, _ = backend.(StepLoopReporter)
-	s.arrivals, _ = backend.(ArrivalObserver)
-	s.predicts, _ = backend.(PredictReporter)
 	if s.elastic != nil {
 		s.stop = make(chan struct{})
 		s.wg.Add(1)
@@ -436,12 +413,6 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req pipeline.Reque
 		// scales the model's replica pool up when the queue crosses its
 		// high-water mark.
 		s.pressure(model, q)
-		// And an arrival observation: the predictive subsystem trains
-		// its per-(model, SLO-class) rate EWMAs on the admission stream
-		// (req.TargetLatency is already canonicalized above).
-		if s.arrivals != nil {
-			s.arrivals.ObserveArrival(model, req.TargetLatency, len(q.jobs), cap(q.jobs))
-		}
 	default:
 		s.mu.Unlock()
 		q.stats.shed()
@@ -455,14 +426,6 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req pipeline.Reque
 		// The worker will notice ctx and drop the job; don't wait.
 		return nil, ctx.Err()
 	}
-}
-
-// Do submits one classify request and blocks until it completes.
-//
-// Deprecated: Do is the positional classify-only API; use Submit with
-// a task-typed pipeline.Request.
-func (s *Scheduler) Do(ctx context.Context, model string, tokens []int, mask []bool) (*Result, error) {
-	return s.Submit(ctx, model, pipeline.Request{Task: pipeline.TaskClassify, Tokens: tokens, Mask: mask})
 }
 
 // queueLocked returns the model's queue, creating it on first use.

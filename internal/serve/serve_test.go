@@ -183,6 +183,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// classify builds a classify request over tokens.
+func classify(tokens ...int) pipeline.Request {
+	return pipeline.Request{Task: pipeline.TaskClassify, Tokens: tokens}
+}
+
 func twoModels() map[string]time.Duration {
 	return map[string]time.Duration{
 		"sentiment": 50 * time.Millisecond,
@@ -196,7 +201,7 @@ func TestSchedulerServesAndCounts(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 10; i++ {
-		res, err := s.Do(context.Background(), "sentiment", []int{1, 2, 3}, nil)
+		res, err := s.Submit(context.Background(), "sentiment", classify(1, 2, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +230,7 @@ func TestSchedulerServesAndCounts(t *testing.T) {
 func TestSchedulerUnknownModel(t *testing.T) {
 	s := New(&stubBackend{targets: twoModels()}, Options{})
 	defer s.Close()
-	if _, err := s.Do(context.Background(), "absent", []int{1}, nil); !errors.Is(err, ErrUnknownModel) {
+	if _, err := s.Submit(context.Background(), "absent", classify(1)); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err %v, want ErrUnknownModel", err)
 	}
 }
@@ -234,7 +239,7 @@ func TestSchedulerBackendErrorPropagates(t *testing.T) {
 	boom := errors.New("flash died")
 	s := New(&stubBackend{targets: twoModels(), err: boom}, Options{})
 	defer s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); !errors.Is(err, boom) {
+	if _, err := s.Submit(context.Background(), "sentiment", classify(1)); !errors.Is(err, boom) {
 		t.Fatalf("err %v, want backend error", err)
 	}
 	if st := s.Snapshot(); st.Failed != 1 {
@@ -247,12 +252,12 @@ func TestSchedulerSurvivesPanickingBackend(t *testing.T) {
 	b.panics.Store(true)
 	s := New(b, Options{Workers: 1})
 	defer s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); err == nil {
+	if _, err := s.Submit(context.Background(), "sentiment", classify(1)); err == nil {
 		t.Fatal("panicking backend must surface an error")
 	}
 	// The worker survived the panic and keeps serving.
 	b.panics.Store(false)
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); err != nil {
+	if _, err := s.Submit(context.Background(), "sentiment", classify(1)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Snapshot()
@@ -277,17 +282,17 @@ func TestSchedulerShedsWhenQueueFull(t *testing.T) {
 	// the second request instead.
 	results := make(chan error, 2)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := s.Submit(context.Background(), "sentiment", classify(1))
 		results <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := s.Submit(context.Background(), "sentiment", classify(1))
 		results <- err
 	}()
 	waitUntil(t, "queued request", func() bool { return queueDepth(s, "sentiment") > 0 })
 
-	_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+	_, err := s.Submit(context.Background(), "sentiment", classify(1))
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err %v, want ErrQueueFull", err)
 	}
@@ -316,13 +321,13 @@ func TestSchedulerDropsBlownDeadlines(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := s.Submit(context.Background(), "m", classify(1))
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
 	second := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := s.Submit(context.Background(), "m", classify(1))
 		second <- err
 	}()
 	time.Sleep(120 * time.Millisecond) // let the queued request's 50ms deadline expire
@@ -343,7 +348,7 @@ func TestSchedulerExpiredAtAdmission(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := s.Do(ctx, "sentiment", []int{1}, nil); !errors.Is(err, ErrDeadline) {
+	if _, err := s.Submit(ctx, "sentiment", classify(1)); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err %v, want ErrDeadline", err)
 	}
 }
@@ -356,12 +361,12 @@ func TestSchedulerCloseDrainsAndRejects(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Do(context.Background(), "sentiment", []int{1}, nil)
+			s.Submit(context.Background(), "sentiment", classify(1))
 		}()
 	}
 	wg.Wait()
 	s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(context.Background(), "sentiment", classify(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
@@ -384,7 +389,7 @@ func TestSchedulerStress(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				_, err := s.Do(context.Background(), models[(c+i)%len(models)], []int{1, 2}, nil)
+				_, err := s.Submit(context.Background(), models[(c+i)%len(models)], classify(1, 2))
 				switch {
 				case err == nil:
 					served.Add(1)

@@ -227,3 +227,52 @@ func TestSharedCacheServesRealStore(t *testing.T) {
 		t.Fatalf("stats %+v: want %d flash reads and %d retained hits", stats, shards, shards)
 	}
 }
+
+// TestSharedCacheStatsRace hammers Stats against concurrent reads,
+// Drop and SetRetain — the serve-layer snapshot path races all of
+// these in production (run under -race).
+func TestSharedCacheStatsRace(t *testing.T) {
+	src := &countingReader{}
+	c := NewSharedCache(src, 64)
+
+	const iters = 2000
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			st := c.Stats()
+			if st.RetainedBytes < 0 {
+				t.Error("negative residency")
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if _, err := c.ReadShardPayload(i%8, 0, 4); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/10; i++ {
+			c.Drop()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/10; i++ {
+			c.SetRetain(int64(16 + (i%4)*16))
+		}
+	}()
+	wg.Wait()
+
+	st := c.Stats()
+	if st.RetainedBytes > 64 {
+		t.Fatalf("RetainedBytes=%d exceeded the largest budget 64", st.RetainedBytes)
+	}
+}

@@ -26,8 +26,8 @@ func finishPayload(buf *bytes.Buffer) []byte {
 	return buf.Bytes()
 }
 
-// verifyPayload checks and strips the CRC32 trailer.
-func verifyPayload(data []byte) ([]byte, error) {
+// VerifyPayload checks and strips the CRC32 trailer.
+func VerifyPayload(data []byte) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("store: payload too short for checksum")
 	}
@@ -115,7 +115,7 @@ func EncodeRawPayload(weights []float32) []byte {
 // DecodePayload parses a serialized shard payload, verifying its
 // integrity checksum first.
 func DecodePayload(data []byte) (*Payload, error) {
-	body, err := verifyPayload(data)
+	body, err := VerifyPayload(data)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,6 @@ import (
 	"sti/internal/obs"
 	"sti/internal/pipeline"
 	"sti/internal/planner"
-	"sti/internal/predict"
 	"sti/internal/profiler"
 	"sti/internal/replica"
 	"sti/internal/serve"
@@ -115,13 +114,6 @@ type (
 	// ShardCacheStats reports a model's single-flight payload cache:
 	// flash reads vs deduplicated hits and the bytes they saved.
 	ShardCacheStats = store.CacheStats
-	// PredictOptions tunes the predictive subsystem (prefetch,
-	// speculative warming, pre-emptive scale advice); see
-	// Fleet.EnablePrediction.
-	PredictOptions = predict.Options
-	// PredictStats snapshots one model's predictors: arrival-rate
-	// EWMAs, sequence-predictor accuracy, and actuation counters.
-	PredictStats = predict.ModelStats
 
 	// Scheduler multiplexes concurrent inference requests across a
 	// Fleet with per-model bounded queues, deadlines and worker pools.
@@ -375,28 +367,6 @@ func (s *System) Warm(p *Plan) error { return s.Engine.Warm(p) }
 // the shard stream between layers and the decode between tokens.
 func (s *System) Run(ctx context.Context, p *Plan, req Request) (*Response, error) {
 	return s.Engine.Run(ctx, p, req)
-}
-
-// Infer runs one pipelined classification and returns class logits.
-//
-// Deprecated: Infer is the positional classify-only API; use Run with
-// a task-typed Request.
-//
-//sti:ctxok deprecated compatibility shim; Run(ctx, ...) is the context-threading API
-func (s *System) Infer(p *Plan, tokens []int, mask []bool) ([]float32, *ExecStats, error) {
-	return s.Engine.Execute(context.Background(), p, tokens, mask)
-}
-
-// InferBatch runs one batched pipelined classification: the plan's
-// shard stream is read and decompressed once for the whole batch, and
-// each input's logits are byte-identical to a separate Infer call.
-//
-// Deprecated: InferBatch is the positional classify-only API; use
-// Fleet.ServeBatch (or Run per request) with task-typed Requests.
-//
-//sti:ctxok deprecated compatibility shim; Run(ctx, ...) with task-typed Requests is the context-threading API
-func (s *System) InferBatch(p *Plan, inputs []BatchInput) ([][]float32, *BatchStats, error) {
-	return s.Engine.ExecuteBatch(context.Background(), p, inputs)
 }
 
 // Retain applies the post-execution eviction policy (§5.5), keeping
